@@ -40,8 +40,12 @@ class CFGNode:
 class CFG:
     """A per-method control-flow graph."""
 
-    def __init__(self, method_ref=None):
+    def __init__(self, method_ref=None, lowered=None):
         self.method_ref = method_ref
+        #: The LoweredMethod the graph was built from: consumers that need
+        #: the IR as well (call targets) read it here instead of lowering
+        #: the method again.
+        self.lowered = lowered
         self.nodes = []
         self.entry = self._new_node("entry")
         self.exit = self._new_node("exit")
@@ -124,7 +128,7 @@ class _Builder:
 
     def __init__(self, lowered):
         self.lowered = lowered
-        self.cfg = CFG(method_ref=lowered.method_ref)
+        self.cfg = CFG(method_ref=lowered.method_ref, lowered=lowered)
         self.break_targets = []
         self.continue_targets = []
 

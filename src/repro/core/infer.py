@@ -22,15 +22,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import (
-    build_call_graph,
-    call_graph_from_targets,
-    method_call_targets,
-)
+from repro.analysis.callgraph import build_call_graph, method_call_targets
 from repro.core.heuristics import HeuristicConfig
 from repro.core.model import ENGINES, ModelCache
 from repro.core.parallel import EXECUTORS
-from repro.core.pfg_builder import build_pfg
+from repro.core.pfg_builder import build_method_cfg, build_pfg
 from repro.core.pfgstore import PFGStore
 from repro.core.priors import SpecEnvironment
 from repro.core.summaries import (
@@ -189,7 +185,7 @@ class InferenceStats:
     build_seconds: float = 0.0
     solve_seconds: float = 0.0
     #: Which engine actually ran (the process executor falls back to
-    #: threads when the program or config cannot be pickled).
+    #: serial when the program or config cannot be pickled).
     executor: str = "worklist"
     jobs: int = 1
     #: Scheduled-engine shape: SCC-condensation levels and rounds run,
@@ -304,16 +300,22 @@ class AnekInference:
         self.stats.quarantined += 1
 
     def _build_pfg_guarded(self, method_ref, policy):
-        """PFG build under isolation: a crash quarantines only this
-        method.  Returns (pfg, callees-or-None) or (None, None)."""
+        """PFG and call targets from one lowering of the method, under
+        isolation: a crash quarantines only this method.  Returns
+        (pfg, callees) or (None, None)."""
         from repro.resilience.report import record_from_exception
 
         site_key = self.models.site_key(method_ref)
         try:
             if policy.enabled:
                 maybe_fault("pfg", site_key)
-            pfg = build_pfg(self.program, method_ref, limits=policy.limits)
-            callees = method_call_targets(self.program, method_ref)
+            cfg = build_method_cfg(self.program, method_ref)
+            pfg = build_pfg(
+                self.program, method_ref, cfg=cfg, limits=policy.limits
+            )
+            callees = method_call_targets(
+                self.program, method_ref, lowered=cfg.lowered
+            )
         except Exception as exc:
             if not policy.enabled and not isinstance(exc, ResourceLimitError):
                 raise
@@ -331,71 +333,34 @@ class AnekInference:
             return None, None
         return pfg, callees
 
-    def _quarantine_caller(self, method_ref, exc, policy):
-        """Call-graph lowering failed for one caller: quarantine it, same
-        contract as :meth:`_build_pfg_guarded`."""
-        from repro.resilience.report import record_from_exception
-
-        if not policy.enabled and not isinstance(exc, ResourceLimitError):
-            raise exc
-        self.quarantine_method(
-            method_ref,
-            record_from_exception(
-                "resolve",
-                self.models.site_key(method_ref),
-                exc,
-                "resource-limit"
-                if isinstance(exc, ResourceLimitError)
-                else "method-quarantined",
-            ),
-        )
-
     # -- initialization (Figure 9 lines 1-7) -------------------------------------
 
-    def _initialize(self, build_pfgs=True):
+    def _initialize(self):
+        """Build every method's PFG and call targets (from the cache when
+        it holds them), then the call graph from those targets."""
         policy = self.settings.effective_policy()
         methods = list(self.program.methods_with_bodies())
         self.stats.methods = len(methods)
         self.method_set = set(methods)
-        cached_callees = None
-        if build_pfgs:
+        targets = {}
+        for method_ref in methods:
+            pfg = None
             if self.cache is not None:
-                cached_callees = {}
-            for method_ref in methods:
-                pfg = None
-                if cached_callees is not None:
-                    pfg, callees = self.cache.load_frontend(method_ref)
-                    if pfg is None:
-                        pfg, callees = self._build_pfg_guarded(
-                            method_ref, policy
-                        )
-                        if pfg is None:
-                            continue
-                        self.cache.store_frontend(method_ref, pfg, callees)
-                    cached_callees[method_ref] = callees
-                else:
-                    pfg, _ = self._build_pfg_guarded(method_ref, policy)
-                    if pfg is None:
-                        continue
-                self.pfgs[method_ref] = pfg
-                self.stats.pfg_nodes += pfg.node_count()
-            if self.quarantined:
-                methods = [m for m in methods if m in self.pfgs]
-        if cached_callees is not None:
-            # The call graph is reconstructed from the per-method callee
-            # lists — skipping every lowering — and matches what
-            # build_call_graph would produce for inference's purposes
-            # (caller/callee identities in source order).
-            self.call_graph = call_graph_from_targets(cached_callees)
+                pfg, callees = self.cache.load_frontend(method_ref)
+            if pfg is None:
+                pfg, callees = self._build_pfg_guarded(method_ref, policy)
+                if pfg is None:
+                    continue
+                if self.cache is not None:
+                    self.cache.store_frontend(method_ref, pfg, callees)
+            targets[method_ref] = callees
+            self.pfgs[method_ref] = pfg
+            self.stats.pfg_nodes += pfg.node_count()
+        if self.quarantined:
+            methods = [m for m in methods if m in self.pfgs]
+        self.call_graph = build_call_graph(self.program, targets=targets)
+        if self.cache is not None:
             self.cache.record_invalidation(self.call_graph, methods)
-        else:
-            self.call_graph = build_call_graph(
-                self.program,
-                skip=self.quarantined,
-                on_error=lambda ref, exc: self._quarantine_caller(
-                    ref, exc, policy
-                ),
-            )
         for method_ref in methods:
             self._callers_of[method_ref] = [
                 caller

@@ -475,6 +475,11 @@ class LevelScheduler:
         #: The global shard plan ({method_ref: shard index}), installed
         #: by :meth:`run` before any backend is built.
         self.shard_of = {}
+        #: Methods whose factor and constraint counts are in the stats.  A
+        #: pool worker solving a method for the first time builds its
+        #: model, and which worker takes a method's chunk in each round
+        #: depends on timing, so a method's counts are added only once.
+        self._counted = set()
 
     # -- worker entry for serial/thread backends ------------------------------
 
@@ -494,10 +499,6 @@ class LevelScheduler:
         )
 
     # -- backend construction --------------------------------------------------
-
-    def make_backend(self, jobs):
-        """A single (unsharded) backend; kept as the one-group case."""
-        return self.make_backend_groups(jobs, 1)[0]
 
     def make_backend_groups(self, jobs, shard_count):
         """One backend per shard.
@@ -540,11 +541,11 @@ class LevelScheduler:
         except Exception as exc:
             warnings.warn(
                 "process executor unavailable (%s: %s); falling back to "
-                "threads" % (type(exc).__name__, exc),
+                "serial" % (type(exc).__name__, exc),
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return [_ThreadBackend(self, jobs)] * shard_count
+            return [_SerialBackend(self)] * shard_count
         # Workers are split across the groups as evenly as possible;
         # every group gets at least one.
         base, extra = divmod(max(jobs, shard_count), shard_count)
@@ -659,7 +660,7 @@ class LevelScheduler:
                     }
                 )
 
-        if self.settings.executor == "serial":
+        if groups[0].name == "serial":
             for shard_index, chunk in populated:
                 drive(shard_index, chunk)
         else:
@@ -799,13 +800,14 @@ class LevelScheduler:
         }
         self._results[ref] = boundary
         if outcome.built:
-            # Constraint generation ran: count its factors exactly once.
             stats.builds += 1
-            stats.factors += outcome.factor_count
-            for rule, count in outcome.constraint_counts.items():
-                stats.constraint_counts[rule] = (
-                    stats.constraint_counts.get(rule, 0) + count
-                )
+            if ref not in self._counted:
+                self._counted.add(ref)
+                stats.factors += outcome.factor_count
+                for rule, count in outcome.constraint_counts.items():
+                    stats.constraint_counts[rule] = (
+                        stats.constraint_counts.get(rule, 0) + count
+                    )
         elif outcome.skipped:
             stats.skips += 1
         elif outcome.replayed:

@@ -30,14 +30,22 @@ class PendingRequest:
     arrival: float = field(default_factory=time.perf_counter)
     #: Absolute ``perf_counter`` deadline, or None (no deadline).
     deadline_at: float = None
+    #: ``perf_counter`` timestamp at which a dispatch wave took the
+    #: request off the queue, or None while it is still queued.
+    dispatched_at: float = None
 
     def expired(self, now=None):
         if self.deadline_at is None:
             return False
         return (now if now is not None else time.perf_counter()) > self.deadline_at
 
-    def queue_wait(self, now=None):
-        return (now if now is not None else time.perf_counter()) - self.arrival
+    def queue_wait(self):
+        """Seconds spent queued: arrival to dispatch, or arrival to now
+        for a request no wave has taken yet."""
+        end = self.dispatched_at
+        if end is None:
+            end = time.perf_counter()
+        return end - self.arrival
 
 
 @dataclass
@@ -164,9 +172,11 @@ class BoundedRequestQueue:
                 if not self._items:
                     break
             now = time.perf_counter()
+            for pending in batch:
+                pending.dispatched_at = now
             self.metrics.dispatched += len(batch)
             self.metrics.wait_seconds += sum(
-                pending.queue_wait(now) for pending in batch
+                pending.queue_wait() for pending in batch
             )
         return batch
 

@@ -171,6 +171,12 @@ class TestExecutorEquivalence:
             serial.rounds,
             serial.sccs,
         )
+        # Each method's constraints are counted once, whichever pool
+        # worker built (or rebuilt) its model.
+        assert (other.factors, other.constraint_counts) == (
+            serial.factors,
+            serial.constraint_counts,
+        )
         assert [
             (entry["round"], entry["level"], entry["methods"])
             for entry in other.schedule
@@ -258,7 +264,7 @@ class TestSchedulerProperties:
         with pytest.raises(ValueError):
             InferenceSettings(jobs=-1)
 
-    def test_process_falls_back_to_threads_on_unpicklable_config(self):
+    def test_process_falls_back_to_serial_on_unpicklable_config(self):
         from repro.core.heuristics import CustomHeuristic, HeuristicConfig
 
         config = HeuristicConfig(
@@ -280,4 +286,4 @@ class TestSchedulerProperties:
         )
         with pytest.warns(RuntimeWarning, match="falling back"):
             inference.run()
-        assert inference.stats.executor == "thread"
+        assert inference.stats.executor == "serial"

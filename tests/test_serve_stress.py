@@ -139,6 +139,16 @@ class TestQueue:
         assert queue.metrics.dispatched == 4
         assert len(queue.get_batch(max_size=4, window=0.0)) == 1
 
+    def test_queue_wait_stops_at_dispatch(self):
+        queue = BoundedRequestQueue(limit=4)
+        pending = self._pending()
+        queue.put(pending)
+        assert queue.get_batch(max_size=4, window=0.0) == [pending]
+        wait = pending.queue_wait()
+        assert wait == pending.dispatched_at - pending.arrival
+        time.sleep(0.05)
+        assert pending.queue_wait() == wait
+
     def _deadlined(self, deadline_at, request_id=0):
         return PendingRequest(
             request={},
@@ -413,6 +423,22 @@ def test_queued_request_expires_without_costing_a_worker(tmp_path):
         f["disposition"] for f in stats["failures"]["failures"]
     ]
     assert dispositions == ["request-expired"]
+
+
+def test_queue_wait_excludes_execution_time(tmp_path):
+    """On an idle daemon a request is dispatched at once, so the reply's
+    queue wait is a sliver of a solve that an injected PFG-stage delay
+    stretches past half a second."""
+    install_fault_plan(
+        [FaultSpec(stage="pfg", key="", kind="delay", count=1, seconds=0.5)]
+    )
+    with running_server(tmp_path, workers=1, batch_window=0.0) as server:
+        with ServeClient(server.address) as client:
+            response = client.infer([LEDGER_CLIENT])
+    assert response["status"] == "ok"
+    elapsed = response["stats"]["elapsed_seconds"]
+    assert elapsed >= 0.5
+    assert response["serve"]["queue_wait_seconds"] < elapsed / 10
 
 
 def test_request_deadline_narrows_the_solve_policy(tmp_path):
