@@ -45,9 +45,11 @@ EXIT_CRASHLOOP = 6
 
 from repro.cache import DEFAULT_CACHE_DIR
 from repro.core import AnekPipeline, InferenceSettings
+from repro.core.parallel import EXECUTORS
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.java.parser import parse_compilation_unit
 from repro.java.symbols import MethodRef, resolve_program
+from repro.plural.checker import CHECK_TIERS, run_check
 
 
 def _read_sources(paths, include_api):
@@ -471,8 +473,6 @@ def _apply_cached_specs(program, run_dir, threshold):
 
 
 def cmd_check(args, out):
-    from repro.plural.checker import run_check
-
     limits = _build_limits(args)
     program = resolve_program(
         [
@@ -485,11 +485,7 @@ def cmd_check(args, out):
         if error is not None:
             print("repro check: error: %s" % error, file=sys.stderr)
             return EXIT_USAGE
-    try:
-        run = run_check(program, tier=args.check_tier)
-    except RuntimeError as exc:
-        print("repro check: error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    run = run_check(program, tier=args.check_tier)
     for warning in run.warnings:
         print(warning.format(), file=out)
     print("%d warning(s)" % len(run.warnings), file=out)
@@ -863,8 +859,7 @@ def build_parser():
     infer.add_argument("--jobs", type=_job_count, default=0,
                        help="parallel workers (implies --executor process; "
                             "0 = CPU count when an executor is selected)")
-    infer.add_argument("--executor", default=None,
-                       choices=("worklist", "serial", "thread", "process"),
+    infer.add_argument("--executor", default=None, choices=EXECUTORS,
                        help="inference engine: the sequential worklist "
                             "(default) or the level-synchronous scheduler")
     infer.add_argument("--shards", metavar="K",
@@ -877,8 +872,7 @@ def build_parser():
                        choices=("loopy", "compiled"),
                        help="BP engine: the compiled flat-array kernel "
                             "(default) or the per-message loopy reference")
-    infer.add_argument("--check-tier", default="auto",
-                       choices=("full", "bitvector", "auto"),
+    infer.add_argument("--check-tier", default="auto", choices=CHECK_TIERS,
                        help="checker dispatch for the final PLURAL pass: "
                             "bit-vector fast path with residue routing "
                             "(auto, default) or the full checker (full); "
@@ -1029,8 +1023,7 @@ def build_parser():
     client.add_argument("--max-iters", type=_max_iters, default=0)
     client.add_argument("--engine", default="compiled",
                         choices=("loopy", "compiled"))
-    client.add_argument("--executor", default=None,
-                        choices=("worklist", "serial", "thread", "process"))
+    client.add_argument("--executor", default=None, choices=EXECUTORS)
     client.add_argument("--jobs", type=_job_count, default=0)
     client.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="ask the daemon to bypass the persistent cache")
@@ -1052,8 +1045,7 @@ def build_parser():
                         default=0.0,
                         help="overall budget for one call across all "
                             "retries (0 = none)")
-    client.add_argument("--check-tier", default="auto",
-                        choices=("full", "bitvector", "auto"),
+    client.add_argument("--check-tier", default="auto", choices=CHECK_TIERS,
                         help="checker dispatch for the served check/infer")
     client.add_argument("--marginals", action="store_true",
                         help="include raw boundary marginals in the result")
@@ -1064,13 +1056,11 @@ def build_parser():
     check = sub.add_parser("check", help="run the PLURAL checker")
     check.add_argument("files", nargs="+")
     check.add_argument("--no-api", dest="api", action="store_false")
-    check.add_argument("--check-tier", default="auto",
-                       choices=("full", "bitvector", "auto"),
+    check.add_argument("--check-tier", default="auto", choices=CHECK_TIERS,
                        help="checker dispatch: the bit-vector fast path "
                             "with full-checker residue routing (auto, "
-                            "default), tier 1 required (bitvector), or "
-                            "the full checker only (full); warnings are "
-                            "bit-identical across tiers")
+                            "default) or the full checker only (full); "
+                            "warnings are bit-identical across tiers")
     check.add_argument("--run-dir", metavar="DIR", default=None,
                        help="reuse a completed 'infer --run-dir DIR' run: "
                             "re-extract its inferred specs from the final "

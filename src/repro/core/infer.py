@@ -13,9 +13,9 @@ inference algorithm for a fixed number of iterations without reaching a
 fixpoint"), trading accuracy against scalability.
 
 Besides the sequential worklist, ``InferenceSettings.executor`` selects
-the level-synchronous scheduled engine (``serial``/``thread``/
-``process``, see :mod:`repro.core.parallel`), which solves whole
-call-graph levels concurrently and merges summaries deterministically.
+the level-synchronous scheduled engine (``serial``/``process``, see
+:mod:`repro.core.parallel`), which solves whole call-graph levels
+concurrently and merges summaries deterministically.
 """
 
 import time
@@ -75,10 +75,10 @@ class InferenceSettings:
     bp_tolerance: float = 1e-4
     threshold: float = 0.5  # the paper's t in [0.5, 1)
     summary_change_threshold: float = 0.02
-    #: "worklist" = the sequential Figure 9 engine; "serial"/"thread"/
-    #: "process" = the level-synchronous scheduler of repro.core.parallel.
+    #: "worklist" = the sequential Figure 9 engine; "serial"/"process" =
+    #: the level-synchronous scheduler of repro.core.parallel.
     executor: str = "worklist"
-    #: Worker count for the thread/process executors (0 = CPU count).
+    #: Worker count for the process executor (0 = CPU count).
     jobs: int = 0
     #: Shard count for the scheduled executors: each condensation level
     #: is partitioned into this many groups solved independently, with

@@ -14,10 +14,9 @@ be solved concurrently.  This module makes that operational:
   the final summaries (and therefore every downstream marginal) are
   independent of task completion order.
 
-Three interchangeable executors drive the level solves — ``serial``
-(inline), ``thread`` (:class:`~concurrent.futures.ThreadPoolExecutor`)
-and ``process`` (:class:`~concurrent.futures.ProcessPoolExecutor`, true
-parallelism).  All three run the *same* schedule, exchange the *same*
+Two interchangeable executors drive the level solves — ``serial``
+(inline) and ``process`` (:class:`~concurrent.futures.ProcessPoolExecutor`,
+true parallelism).  Both run the *same* schedule, exchange the *same*
 picklable payloads, and merge in the *same* order, which is the
 determinism guarantee the differential test suite
 (``tests/test_parallel_differential.py``) locks in: marginals agree
@@ -39,7 +38,7 @@ import pickle
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -59,12 +58,9 @@ from repro.resilience.faults import maybe_fault
 from repro.resilience.report import FailureRecord, record_from_exception
 
 #: Executors accepted by ``InferenceSettings.executor``.  ``worklist`` is
-#: the sequential reference engine (paper Figure 9); the other three run
+#: the sequential reference engine (paper Figure 9); the other two run
 #: the level-synchronous schedule above.
-EXECUTORS = ("worklist", "serial", "thread", "process")
-
-#: The subset of :data:`EXECUTORS` that runs the scheduled engine.
-SCHEDULED_EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("worklist", "serial", "process")
 
 
 def resolve_jobs(jobs):
@@ -125,7 +121,7 @@ def solve_method_to_outcome(
             raise
         # Constraint generation (or the model machinery around it)
         # crashed.  Report a quarantined outcome instead of letting the
-        # exception take down the level (thread executor) or the whole
+        # exception take down the level (serial executor) or the whole
         # chunk (process executor).
         return MethodSolveOutcome(
             key=key,
@@ -271,7 +267,7 @@ class _SerialBackend:
     after the level completes, so the live store is passed straight
     through — the payload round-trip is pure copying and the process
     backend's reconstruction yields value-identical dicts, keeping the
-    three executors' floats equal.
+    two executors' floats equal.
     """
 
     name = "serial"
@@ -284,29 +280,6 @@ class _SerialBackend:
 
     def close(self):
         pass
-
-
-class _ThreadBackend:
-    """Thread-pool execution (shared ASTs, GIL-bound but overlap-capable)."""
-
-    name = "thread"
-
-    def __init__(self, scheduler, jobs):
-        self.scheduler = scheduler
-        self.pool = ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="anek-infer"
-        )
-
-    def solve_level(self, keys, store):
-        futures = [
-            self.pool.submit(self.scheduler.solve_local, key, store)
-            for key in keys
-        ]
-        # Collect in submission order: completion order never leaks out.
-        return [future.result() for future in futures]
-
-    def close(self):
-        self.pool.shutdown()
 
 
 class _ProcessBackend:
@@ -481,7 +454,7 @@ class LevelScheduler:
         #: depends on timing, so a method's counts are added only once.
         self._counted = set()
 
-    # -- worker entry for serial/thread backends ------------------------------
+    # -- in-parent solves (serial backend, process fallback) -------------------
 
     def solve_local(self, key, store):
         ref = self.table[key]
@@ -503,18 +476,14 @@ class LevelScheduler:
     def make_backend_groups(self, jobs, shard_count):
         """One backend per shard.
 
-        Serial and thread executors share a single backend object across
-        every shard (a thread pool is safely driven from several parent
-        threads at once); the process executor builds one *independent
-        process group* per shard, each initialized with only its own
-        shard's PFGs, so a group's resident footprint shrinks with the
-        shard count.
+        The serial executor shares a single backend object across every
+        shard; the process executor builds one *independent process
+        group* per shard, each initialized with only its own shard's
+        PFGs, so a group's resident footprint shrinks with the shard
+        count.
         """
-        executor = self.settings.executor
-        if executor == "serial":
+        if self.settings.executor == "serial":
             return [_SerialBackend(self)] * shard_count
-        if executor == "thread":
-            return [_ThreadBackend(self, jobs)] * shard_count
         bound_cache = self.inference.cache
         cache_spec = (
             bound_cache.cache.spec() if bound_cache is not None else None

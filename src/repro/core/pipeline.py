@@ -154,9 +154,9 @@ class AnekPipeline:
         #: An :class:`repro.cache.AnalysisCache`, or None (no persistence).
         self.cache = cache
         #: Checker dispatch: "full" runs the fractional-permission
-        #: checker on every method, "bitvector"/"auto" prove what they
-        #: can with the vectorized tier-1 pass first.  Warning output is
-        #: bit-identical across tiers.
+        #: checker on every method, "auto" proves what it can with the
+        #: vectorized tier-1 pass first.  Warning output is bit-identical
+        #: across tiers.
         self.check_tier = check_tier
 
     def _parse_units(self, sources, result):

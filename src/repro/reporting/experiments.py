@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.core import AnekPipeline, InferenceSettings
 from repro.core.logical import DidNotFinish, LogicalInference
+from repro.core.parallel import EXECUTORS
 from repro.corpus import generate_pmd_corpus
 from repro.corpus.generator import (
     generate_branchy_program,
@@ -494,7 +495,7 @@ def table5_parallel(corpus_spec=None, jobs=0, settings=None, repeats=1,
     result = Table5Result()
     specs_by_executor = {}
     baseline_seconds = None
-    for executor in ("worklist", "serial", "thread", "process"):
+    for executor in EXECUTORS:
         run_settings = InferenceSettings(
             max_worklist_iters=base.max_worklist_iters,
             bp_iters=base.bp_iters,

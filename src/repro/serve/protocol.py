@@ -20,6 +20,7 @@ import struct
 
 from repro.core.model import ENGINES
 from repro.core.parallel import EXECUTORS
+from repro.plural.checker import CHECK_TIERS
 
 #: Per-frame magic: catches non-protocol bytes before a length is trusted.
 MAGIC = b"ANK1"
@@ -221,8 +222,15 @@ REQUEST_DEFAULTS = {
     "idem": "",
 }
 
-#: Checker dispatch tiers (mirrors the CLI's ``--check-tier``).
-CHECK_TIERS = ("full", "bitvector", "auto")
+
+def _is_integer(value):
+    """JSON integers only: ``bool`` subclasses ``int``, so ``true`` would
+    otherwise pass as 1 where the CLI's argparse types reject it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
@@ -262,11 +270,11 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
                 "sources of %d bytes exceed the %d byte limit"
                 % (total, max_source_bytes)
             )
-    if not isinstance(request["threshold"], (int, float)) or not (
+    if not _is_number(request["threshold"]) or not (
         0.5 <= request["threshold"] < 1.0
     ):
         raise ProtocolError("threshold must be in [0.5, 1)")
-    if not isinstance(request["max_iters"], int) or request["max_iters"] < 0:
+    if not _is_integer(request["max_iters"]) or request["max_iters"] < 0:
         raise ProtocolError("max_iters must be an integer >= 0")
     if request["engine"] not in ENGINES:
         raise ProtocolError(
@@ -278,12 +286,9 @@ def normalize_request(payload, max_source_bytes=MAX_SOURCE_BYTES):
             "unknown executor %r (expected one of %s)"
             % (request["executor"], ", ".join(EXECUTORS))
         )
-    if not isinstance(request["jobs"], int) or request["jobs"] < 0:
+    if not _is_integer(request["jobs"]) or request["jobs"] < 0:
         raise ProtocolError("jobs must be an integer >= 0")
-    if (
-        not isinstance(request["deadline"], (int, float))
-        or request["deadline"] < 0
-    ):
+    if not _is_number(request["deadline"]) or request["deadline"] < 0:
         raise ProtocolError("deadline must be a number of seconds >= 0")
     request["deadline"] = float(request["deadline"])
     if request["check_tier"] not in CHECK_TIERS:

@@ -23,11 +23,10 @@ import os
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.cli import main as cli_main
+from repro.cli import EXIT_USAGE, build_parser, main as cli_main
 from repro.core.pipeline import AnekPipeline
 from repro.core.infer import InferenceSettings
+from repro.core.parallel import EXECUTORS
 from repro.corpus import CorpusSpec, generate_pmd_corpus
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
 from repro.corpus.oracle import apply_oracle
@@ -102,7 +101,7 @@ class TestCorpusDifferential:
         [
             ("worklist", "compiled", 1),
             ("serial", "loopy", 1),
-            ("thread", "compiled", 2),
+            ("process", "compiled", 2),
         ],
     )
     def test_inferred_specs_differential(self, executor, engine, shards):
@@ -358,20 +357,7 @@ class TestRunCheckApi:
             run_check(figure3_program, tier="turbo")
 
     def test_tier_names_locked(self):
-        assert CHECK_TIERS == ("full", "bitvector", "auto")
-
-    def test_bitvector_requires_numpy(self, figure3_program, monkeypatch):
-        monkeypatch.setattr(bitvector, "available", lambda: False)
-        with pytest.raises(RuntimeError, match="requires numpy"):
-            run_check(figure3_program, tier="bitvector")
-
-    def test_auto_degrades_without_numpy(self, figure3_program, monkeypatch):
-        monkeypatch.setattr(bitvector, "available", lambda: False)
-        run = run_check(figure3_program, tier="auto")
-        assert run.tier == "full"
-        assert fmt(run.warnings) == fmt(
-            run_check(figure3_program, tier="full").warnings
-        )
+        assert CHECK_TIERS == ("full", "auto")
 
     def test_describe_mentions_tiers(self, figure3_program):
         run = run_check(figure3_program, tier="auto")
@@ -539,6 +525,36 @@ class TestCliTiering:
         other.write_text("class Other { void noop() { } }")
         code, _ = run_cli(["check", str(other), "--run-dir", run_dir])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("infer", "--executor", "thread"),
+            ("check", "--check-tier", "bitvector"),
+        ],
+    )
+    def test_retired_option_values_are_usage_errors(
+        self, demo_file, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, demo_file, flag, value])
+        assert exit_info.value.code == EXIT_USAGE
+
+    def test_choices_come_from_the_single_lists(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def choices(command, flag):
+            (action,) = [
+                action
+                for action in commands[command]._actions
+                if flag in action.option_strings
+            ]
+            return tuple(action.choices)
+
+        for command in ("infer", "client"):
+            assert choices(command, "--executor") == EXECUTORS
+        for command in ("infer", "client", "check"):
+            assert choices(command, "--check-tier") == CHECK_TIERS
 
 
 class TestServeProtocolTier:

@@ -1,7 +1,7 @@
 """Differential harness for the parallel ANEK-INFER backends.
 
 The level-synchronous scheduler (``repro.core.parallel``) promises that
-its three executors — ``serial``, ``thread`` and ``process`` — are
+its two executors — ``serial`` and ``process`` — are
 observationally identical: same schedule, same number of solves, same
 boundary marginals (bit-for-bit, asserted here within 1e-9), and
 therefore the same thresholded specs.  This suite locks that guarantee
@@ -63,7 +63,7 @@ class LogManager {
 }
 """
 
-#: name -> list of sources.  Every entry runs under all three executors.
+#: name -> list of sources.  Every entry runs under both scheduled executors.
 CORPUS = {
     "figure3": figure3_sources(),
     "figure5": figure5_sources(),
@@ -126,18 +126,18 @@ def max_marginal_delta(left, right):
 
 @pytest.fixture(scope="module")
 def executor_runs():
-    """All corpus entries solved under all three scheduled executors."""
+    """All corpus entries solved under both scheduled executors."""
     runs = {}
     for name, sources in CORPUS.items():
         runs[name] = {
             executor: run_inference(sources, executor)
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
     return runs
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["process"])
 class TestExecutorEquivalence:
     def test_same_method_coverage(self, executor_runs, name, executor):
         serial = executor_runs[name]["serial"]

@@ -14,6 +14,7 @@ every executor and both engines.
 import pytest
 
 from repro.core.infer import AnekInference, InferenceSettings
+from repro.core.parallel import EXECUTORS
 from repro.core.pfgstore import PFGStore
 from repro.corpus.examples import FIGURE3_CLIENT
 from repro.corpus.iterator_api import ITERATOR_API_SOURCE
@@ -22,7 +23,6 @@ from repro.java.symbols import method_key, resolve_program
 
 SOURCES = [ITERATOR_API_SOURCE, FIGURE3_CLIENT]
 
-EXECUTORS = ["worklist", "serial", "thread", "process"]
 ENGINES = ["compiled", "loopy"]
 
 

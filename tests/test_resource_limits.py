@@ -266,7 +266,7 @@ class TestGovernanceBitIdentity:
             include_marginals=True
         ) == ungoverned.canonical_json(include_marginals=True)
 
-    @pytest.mark.parametrize("executor", ["worklist", "serial", "thread"])
+    @pytest.mark.parametrize("executor", ["worklist", "serial"])
     def test_executors(self, executor):
         governed = _run(self.SOURCES, executor=executor)
         ungoverned = _run(

@@ -98,6 +98,11 @@ class TestProtocol:
             {"op": "infer", "sources": ["x"], "jobs": -1},
             {"op": "infer", "sources": ["x"], "deadline": -1},
             {"op": "infer", "sources": ["x"], "bogus": True},
+            {"op": "infer", "sources": ["x"], "jobs": True},
+            {"op": "infer", "sources": ["x"], "max_iters": True},
+            {"op": "infer", "sources": ["x"], "deadline": True},
+            {"op": "infer", "sources": ["x"], "executor": "thread"},
+            {"op": "infer", "sources": ["x"], "check_tier": "bitvector"},
             [],
         ],
     )

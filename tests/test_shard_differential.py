@@ -28,7 +28,7 @@ from repro.resilience.faults import ENV_VAR, FaultPlan, FaultSpec
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SHARD_COUNTS = [1, 2, 4]
-EXECUTORS = ["serial", "thread", "process"]
+EXECUTORS = ["serial", "process"]
 
 
 def corpus_sources():
@@ -109,8 +109,8 @@ class TestLoopyEngineSharded:
         run = run_sharded(sources, "serial", 2, engine="loopy")
         assert run["marginals"] == reference["marginals"]
 
-    def test_loopy_thread_sharded(self, sources, reference):
-        run = run_sharded(sources, "thread", 4, engine="loopy")
+    def test_loopy_process_sharded(self, sources, reference):
+        run = run_sharded(sources, "process", 4, engine="loopy")
         assert run["marginals"] == reference["marginals"]
 
 
